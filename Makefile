@@ -3,12 +3,18 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-alloc bench-tiered bench-quant bench-serving bench-serving-grpc bench-batching bench-prefix bench-ctxpar bench-cluster smoke-cluster proto cover fuzz fmt vet
+.PHONY: all build cross test race bench bench-alloc bench-tiered bench-quant bench-serving bench-serving-grpc bench-batching bench-prefix bench-ctxpar bench-cluster smoke-cluster proto cover fuzz fmt vet
 
 all: build vet test
 
 build:
 	$(GO) build ./...
+
+# The fp32 kernels are SSE assembly on amd64 with portable Go loops on every
+# other architecture: vet a 64-bit and build a 32-bit non-amd64 target so the
+# fallback keeps compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=386 $(GO) build ./...
 
 test:
 	$(GO) test ./...
@@ -117,11 +123,13 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 < m+0) ? 1 : 0 }' || \
 		{ echo "coverage fell below the ratchet floor"; exit 1; }
 
-# Short coverage-guided fuzz pass over the spill-file parser (the seeds
-# also run as ordinary tests in `make test`).
+# Short coverage-guided fuzz passes over the spill-file parser and the SSE
+# dot kernel against its scalar reference (the seeds also run as ordinary
+# tests in `make test`).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/storage/vfs -run '^FuzzOpen$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vec -run '^FuzzDotMatchesGeneric$$' -fuzz '^FuzzDotMatchesGeneric$$' -fuzztime $(FUZZTIME)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

@@ -246,6 +246,43 @@ func BenchmarkVecDot128(b *testing.B) {
 	}
 }
 
+func BenchmarkVecAxpy128(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	x, y := randomVec(rng, 128), randomVec(rng, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.Axpy(1e-6, x, y)
+	}
+}
+
+// BenchmarkVecDotGather64of4096 scores 64 scattered rows of a 4096-row key
+// matrix, the shape of an attention pass over a retrieved token set.
+func BenchmarkVecDotGather64of4096(b *testing.B) {
+	rng := rand.New(rand.NewSource(17))
+	K := randomMatrix(rng, 4096, 128)
+	q := randomVec(rng, 128)
+	idx := rng.Perm(4096)[:64]
+	out := make([]float32, len(idx))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.DotGather(q, K, idx, out)
+	}
+}
+
+func BenchmarkWeightedSumRange4096x128(b *testing.B) {
+	rng := rand.New(rand.NewSource(18))
+	V := randomMatrix(rng, 4096, 128)
+	w := randomVec(rng, 4096)
+	out := make([]float32, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vec.WeightedSumRange(w, V, 0, 4096, out)
+	}
+}
+
 func BenchmarkSoftmax4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	logits := randomVec(rng, 4096)

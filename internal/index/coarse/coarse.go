@@ -161,10 +161,12 @@ func (x *Index) TopK(q []float32, k int) []index.Candidate {
 	}
 	nBlocks := 4 * ((k + x.blockSize - 1) / x.blockSize)
 	h := make(index.MinHeap, 0, k)
+	scores := make([]float32, x.blockSize)
 	for _, b := range x.SelectBlocks(q, nBlocks) {
 		lo, hi := x.BlockTokens(b)
-		for i := lo; i < hi; i++ {
-			h.PushBounded(index.Candidate{ID: int32(i), Score: vec.Dot(q, x.keys.Row(i))}, k)
+		vec.DotBatchRange(q, x.keys, lo, hi, scores)
+		for i, s := range scores[:hi-lo] {
+			h.PushBounded(index.Candidate{ID: int32(lo + i), Score: s}, k)
 		}
 	}
 	return h.Sorted()

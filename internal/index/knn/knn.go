@@ -13,9 +13,17 @@ import (
 	"repro/internal/vec"
 )
 
+// exactTile is the number of key rows Exact scores per tile: 256 rows of
+// 128-dim keys are 128 KiB, small enough to stay cache-resident while
+// every query of a worker's chunk is scored against them.
+const exactTile = 256
+
 // Exact returns, for each query row, its k highest-inner-product key rows,
 // best first. Work is tiled over key blocks and parallelised over query
-// chunks across `workers` goroutines (workers <= 1 means serial).
+// chunks across `workers` goroutines (workers <= 1 means serial). Each
+// tile is scored through vec.DotBatchRange into a per-worker buffer and
+// pushed into each query's bounded heap in key order, so the result is
+// bitwise-identical to pushing vec.Dot(q, keys.Row(i)) for every i.
 func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 	nq, nk := queries.Rows(), keys.Rows()
 	if k > nk {
@@ -41,13 +49,24 @@ func Exact(queries, keys *vec.Matrix, k, workers int) [][]index.Candidate {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			for qi := lo; qi < hi; qi++ {
-				q := queries.Row(qi)
-				h := make(index.MinHeap, 0, k)
-				for i := 0; i < nk; i++ {
-					h.PushBounded(index.Candidate{ID: int32(i), Score: vec.Dot(q, keys.Row(i))}, k)
+			heaps := make([]index.MinHeap, hi-lo)
+			for i := range heaps {
+				heaps[i] = make(index.MinHeap, 0, k)
+			}
+			scores := make([]float32, min(exactTile, nk))
+			for t := 0; t < nk; t += exactTile {
+				te := min(t+exactTile, nk)
+				tile := scores[:te-t]
+				for qi := lo; qi < hi; qi++ {
+					vec.DotBatchRange(queries.Row(qi), keys, t, te, tile)
+					h := &heaps[qi-lo]
+					for i, s := range tile {
+						h.PushBounded(index.Candidate{ID: int32(t + i), Score: s}, k)
+					}
 				}
-				out[qi] = h.Sorted()
+			}
+			for qi := lo; qi < hi; qi++ {
+				out[qi] = heaps[qi-lo].Sorted()
 			}
 		}(lo, hi)
 	}

@@ -53,6 +53,37 @@ func TestExactParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestExactMatchesPerRowHeap pins the tiled scan to the per-row formulation
+// it replaces: the same IDs and score bits, rank by rank, across several
+// key tiles, a width with a scalar tail, and duplicated keys whose tied
+// scores are kept in push (key) order.
+func TestExactMatchesPerRowHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	keys := randomMatrix(rng, 2*exactTile+37, 13)
+	for i := 0; i < 40; i++ {
+		keys.SetRow(rng.Intn(keys.Rows()), keys.Row(rng.Intn(keys.Rows())))
+	}
+	queries := randomMatrix(rng, 9, 13)
+	for _, workers := range []int{1, 3} {
+		got := Exact(queries, keys, 20, workers)
+		for qi := range got {
+			h := make(index.MinHeap, 0, 20)
+			for i := 0; i < keys.Rows(); i++ {
+				h.PushBounded(index.Candidate{ID: int32(i), Score: vec.Dot(queries.Row(qi), keys.Row(i))}, 20)
+			}
+			want := h.Sorted()
+			if len(got[qi]) != len(want) {
+				t.Fatalf("workers=%d query %d: %d results, want %d", workers, qi, len(got[qi]), len(want))
+			}
+			for r := range want {
+				if got[qi][r] != want[r] {
+					t.Fatalf("workers=%d query %d rank %d: %v, want %v", workers, qi, r, got[qi][r], want[r])
+				}
+			}
+		}
+	}
+}
+
 func TestExactEmptyInputs(t *testing.T) {
 	keys := vec.NewMatrix(0, 4)
 	queries := vec.NewMatrix(0, 4)

@@ -6,14 +6,18 @@ import "fmt"
 // path: scoring a query against many matrix rows at once, and accumulating
 // weighted row sums, all into caller-provided buffers. The range kernels
 // take the whole span through Matrix.RowSpan — one bounds check per range —
-// and walk it in row blocks; none of them allocate.
+// and walk it in 4-row blocks; none of them allocate. A block goes through
+// the 4-row kernels dot4/axpy4 (SSE on amd64), the rows left over after the
+// last full block through Dot/Axpy.
 //
 // Every kernel is bitwise-identical to the per-row formulation it replaces
 // (Dot per Row, Axpy per Row): blocks change how storage is addressed, not
 // the floating-point accumulation order, so callers may mix blocked and
-// per-row paths freely without results diverging.
+// per-row paths freely without results diverging. The output of
+// WeightedSumRange/WeightedSumGather must not overlap the matrix.
 
-// dotBlock is the number of rows scored per backing-array block.
+// dotBlock is the number of rows per backing-array block: the row count of
+// the dot4 and axpy4 kernels.
 const dotBlock = 4
 
 // DotBatchRange computes out[i] = q · m.Row(lo+i) for i in [0, hi-lo),
@@ -36,10 +40,7 @@ func DotBatchRange(q []float32, m *Matrix, lo, hi int, out []float32) {
 	for ; i+dotBlock <= n; i += dotBlock {
 		off := i * d
 		blk := span[off : off+dotBlock*d : off+dotBlock*d]
-		out[i] = Dot(q, blk[:d])
-		out[i+1] = Dot(q, blk[d:2*d])
-		out[i+2] = Dot(q, blk[2*d:3*d])
-		out[i+3] = Dot(q, blk[3*d:])
+		dot4(q, blk[:d], blk[d:2*d], blk[2*d:3*d], blk[3*d:], out[i:i+dotBlock])
 	}
 	for ; i < n; i++ {
 		off := i * d
@@ -54,9 +55,9 @@ func DotBatch(q []float32, m *Matrix, out []float32) {
 }
 
 // DotGather computes out[j] = q · m.Row(idx[j]) for every listed row. The
-// rows are random-access, so no blocking applies, but the kernel still slices
-// the backing array directly and performs no allocation. Indices must be in
-// range; out must have at least len(idx) entries.
+// rows are random-access, so each block of four takes four row slices of
+// the backing array instead of one span; nothing is allocated. Indices must
+// be in range; out must have at least len(idx) entries.
 func DotGather(q []float32, m *Matrix, idx []int, out []float32) {
 	if len(q) != m.cols {
 		panic(fmt.Sprintf("vec: dot gather query dim %d, matrix width %d", len(q), m.cols))
@@ -64,11 +65,12 @@ func DotGather(q []float32, m *Matrix, idx []int, out []float32) {
 	if len(out) < len(idx) {
 		panic(fmt.Sprintf("vec: dot gather output has %d of %d entries", len(out), len(idx)))
 	}
-	d := m.cols
-	data := m.data
-	for j, i := range idx {
-		off := i * d
-		out[j] = Dot(q, data[off:off+d:off+d])
+	j := 0
+	for ; j+dotBlock <= len(idx); j += dotBlock {
+		dot4(q, m.Row(idx[j]), m.Row(idx[j+1]), m.Row(idx[j+2]), m.Row(idx[j+3]), out[j:j+dotBlock])
+	}
+	for ; j < len(idx); j++ {
+		out[j] = Dot(q, m.Row(idx[j]))
 	}
 }
 
@@ -87,8 +89,15 @@ func WeightedSumRange(w []float32, m *Matrix, lo, hi int, out []float32) {
 		panic(fmt.Sprintf("vec: weighted sum output dim %d, matrix width %d", len(out), m.cols))
 	}
 	d := m.cols
+	n := hi - lo
 	span := m.RowSpan(lo, hi)
-	for i := 0; i < hi-lo; i++ {
+	i := 0
+	for ; i+dotBlock <= n; i += dotBlock {
+		off := i * d
+		blk := span[off : off+dotBlock*d : off+dotBlock*d]
+		axpy4(w[i:i+dotBlock], blk[:d], blk[d:2*d], blk[2*d:3*d], blk[3*d:], out)
+	}
+	for ; i < n; i++ {
 		off := i * d
 		Axpy(w[i], span[off:off+d:off+d], out)
 	}
@@ -104,10 +113,11 @@ func WeightedSumGather(w []float32, m *Matrix, idx []int, out []float32) {
 	if len(out) != m.cols {
 		panic(fmt.Sprintf("vec: weighted sum output dim %d, matrix width %d", len(out), m.cols))
 	}
-	d := m.cols
-	data := m.data
-	for j, i := range idx {
-		off := i * d
-		Axpy(w[j], data[off:off+d:off+d], out)
+	j := 0
+	for ; j+dotBlock <= len(idx); j += dotBlock {
+		axpy4(w[j:j+dotBlock], m.Row(idx[j]), m.Row(idx[j+1]), m.Row(idx[j+2]), m.Row(idx[j+3]), out)
+	}
+	for ; j < len(idx); j++ {
+		Axpy(w[j], m.Row(idx[j]), out)
 	}
 }

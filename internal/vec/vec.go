@@ -4,14 +4,24 @@
 //
 // All kernels operate on []float32 because KV-cache entries are half/bfloat16
 // on real hardware; float32 is the closest stdlib-representable width and
-// keeps memory pressure comparable. Hot loops are 4-way unrolled, which is
-// the most portable form of SIMD-friendliness available without assembly.
+// keeps memory pressure comparable.
+//
+// The fp32 hot loops (Dot, Axpy and the batch kernels built on them) run as
+// SSE kernels on amd64 (vec_amd64.s) and as the portable scalar loops
+// dotGeneric/axpyGeneric everywhere else. The kernels are bitwise-identical
+// to the scalar loops, not merely close: Dot keeps one 4-lane accumulator
+// whose lanes are the scalar loop's s0..s3, the tail joins lane 0 and the
+// lanes reduce as ((s0+s1)+s2)+s3, and Go on amd64 never fuses a*b+c into
+// an FMA, so every product and sum rounds exactly as the scalar code does.
+// Axpy does no reduction at all. Anything that reorders a sum (several
+// accumulators per row, AVX2/FMA) would break that identity and is not
+// used.
 //
 // Two calling conventions coexist. The per-row kernels (Dot, Axpy, Softmax)
 // take plain slices. The batch kernels in batch.go (DotBatch, DotGather,
 // WeightedSumRange, …) score or accumulate over many matrix rows at once,
 // writing into caller-provided buffers: they walk the matrix backing array
-// in row blocks and never allocate, which is what keeps the steady-state
+// in 4-row blocks and never allocate, which is what keeps the steady-state
 // decode path garbage-free. Batch results are bitwise-identical to the
 // per-row loops they replace.
 package vec
@@ -28,6 +38,14 @@ func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vec: dot length mismatch %d != %d", len(a), len(b)))
 	}
+	return dot(a, b)
+}
+
+// dotGeneric is the portable scalar dot: four running sums over 4-element
+// chunks, the tail folded into s0, reduced as ((s0+s1)+s2)+s3. It is the
+// implementation off amd64 and the reference the SSE kernel is pinned
+// against. len(b) must equal len(a).
+func dotGeneric(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	n := len(a)
 	i := 0
@@ -50,10 +68,22 @@ func ScaledDot(a, b []float32) float32 {
 }
 
 // Axpy computes y[i] += alpha * x[i] for all i.
+//
+// x and y may be the same slice (x == y, an exact alias). Any other overlap
+// where x starts before y is undefined: the amd64 kernel reads four
+// elements before it writes any, so it can read elements of x that the
+// scalar loop would already have updated through y. No caller passes
+// overlapping slices.
 func Axpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("vec: axpy length mismatch %d != %d", len(x), len(y)))
 	}
+	axpy(alpha, x, y)
+}
+
+// axpyGeneric is the portable scalar Axpy: the implementation off amd64 and
+// the reference the SSE kernel is pinned against. len(y) must equal len(x).
+func axpyGeneric(alpha float32, x, y []float32) {
 	for i := range x {
 		y[i] += alpha * x[i]
 	}
